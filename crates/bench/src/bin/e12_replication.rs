@@ -11,7 +11,7 @@
 //! `--fast` cuts workload sizes for CI; `OUT` overrides the output path
 //! (default `BENCH_3.json` in the working directory).
 
-use dosn_bench::{table_header, table_row};
+use dosn_bench::{table_header, table_row, BenchArgs};
 use dosn_core::network::{
     ChordPlane, DosnNetwork, FederationPlane, KademliaPlane, ReplicatedStore, StoragePlane,
     SuperPeerPlane,
@@ -19,7 +19,6 @@ use dosn_core::network::{
 use dosn_obs::{Registry, RunReport, Value};
 use dosn_overlay::fault::FaultPlan;
 use std::collections::BTreeMap;
-use std::path::Path;
 use std::time::Instant;
 
 const SEED: u64 = 0xE12;
@@ -124,15 +123,9 @@ fn run_cell<S: StoragePlane>(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let out_path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_3.json".to_string());
+    let args = BenchArgs::parse("BENCH_3.json");
 
-    let cfg = if fast {
+    let cfg = if args.fast {
         Cfg {
             users: 6,
             posts_per_user: 2,
@@ -241,7 +234,7 @@ fn main() {
     let mean_r3_posts =
         r3_cells.iter().map(|r| r.posts_per_sec).sum::<f64>() / r3_cells.len().max(1) as f64;
 
-    let mut report = RunReport::new("E12 replication sweep over storage planes", fast);
+    let mut report = RunReport::new("E12 replication sweep over storage planes", args.fast);
     report.set_headline("min_availability_r3", min_r3_avail, true, 0.30);
     report.set_headline("mean_posts_per_sec_r3", mean_r3_posts, true, 0.30);
     report.record_registry(&obs);
@@ -257,10 +250,7 @@ fn main() {
         row.insert("repairs".to_string(), Value::from(r.repairs));
         report.add_row(row);
     }
-    report
-        .save(Path::new(&out_path))
-        .expect("write bench report");
-    println!("wrote {out_path}");
+    args.save(&report);
 
     if regression {
         eprintln!("WARNING: some overlay lost availability going from R=1 to R=3");

@@ -13,11 +13,11 @@
 //! `--fast` cuts the workload (the run is seconds either way); `OUT`
 //! overrides the output path (default `BENCH_4.json`).
 
+use dosn_bench::BenchArgs;
 use dosn_core::network::{ChordPlane, DosnNetwork, ReplicatedStore, StoragePlane};
 use dosn_obs::{Registry, RunReport, Value};
 use dosn_overlay::fault::FaultPlan;
 use std::collections::BTreeMap;
-use std::path::Path;
 use std::time::Instant;
 
 const SEED: u64 = 0xE13;
@@ -27,15 +27,9 @@ fn user(i: usize) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let out_path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_4.json".to_string());
+    let args = BenchArgs::parse("BENCH_4.json");
 
-    let (users, posts_per_user) = if fast { (4, 2u64) } else { (8, 4u64) };
+    let (users, posts_per_user) = if args.fast { (4, 2u64) } else { (8, 4u64) };
 
     let obs = Registry::new();
     let store = ReplicatedStore::new(ChordPlane::build(32, SEED), 3).with_obs(obs.clone());
@@ -102,7 +96,7 @@ fn main() {
     let hist_coverage = snap.histograms.values().filter(|h| !h.is_empty()).count();
     println!("headline: {hist_coverage} distinct histograms fired");
 
-    let mut report = RunReport::new("E13 observability smoke", fast);
+    let mut report = RunReport::new("E13 observability smoke", args.fast);
     // Structural gate: every instrumented path must keep firing. Zero
     // tolerance — losing an instrument is a wiring bug, not noise.
     report.set_headline("histogram_coverage", hist_coverage as f64, true, 0.0);
@@ -114,8 +108,5 @@ fn main() {
     row.insert("availability".to_string(), Value::from(availability));
     row.insert("readable_after_crash".to_string(), Value::from(readable));
     report.add_row(row);
-    report
-        .save(Path::new(&out_path))
-        .expect("write bench report");
-    println!("wrote {out_path}");
+    args.save(&report);
 }

@@ -22,6 +22,7 @@
 //!
 //! Usage: `cargo run --release -p dosn-bench --bin e15_scale [--fast] [OUT]`
 
+use dosn_bench::BenchArgs;
 use dosn_core::network::{
     ChordPlane, ReplicatedStore, SocialGraphConfig, SocialPlacement, SocialPlane, WorkloadGraph,
 };
@@ -30,7 +31,6 @@ use dosn_overlay::id::Key;
 use dosn_overlay::metrics::Metrics;
 use dosn_overlay::storage::StoragePlane;
 use std::collections::BTreeMap;
-use std::path::Path;
 use std::time::Instant;
 
 const SEED: u64 = 0xE15;
@@ -127,26 +127,20 @@ fn run_size(n: usize, keys: usize) -> SizeResult {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let out_path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_8.json".to_string());
+    let args = BenchArgs::parse("BENCH_8.json");
 
     // `--fast` keeps the full sweep — fitting N=1M in CI *is* the
     // experiment — and shrinks the per-size key count instead.
     let sizes: &[usize] = &[10_000, 100_000, 1_000_000];
     let keys_for = |n: usize| -> usize {
-        let base = if fast { 200 } else { 2_000 };
+        let base = if args.fast { 200 } else { 2_000 };
         // The smallest ring gets proportionally fewer keys so owners stay
         // sparse relative to N.
         base.min(n / 10)
     };
 
     let obs = Registry::new();
-    let mut run = RunReport::new("E15 million-node scale sweep", fast);
+    let mut run = RunReport::new("E15 million-node scale sweep", args.fast);
     let mut results = Vec::new();
     for &n in sizes {
         let r = run_size(n, keys_for(n));
@@ -204,8 +198,7 @@ fn main() {
         row.insert("workload_ms".to_string(), Value::from(r.run_ms));
         run.add_row(row);
     }
-    run.save(Path::new(&out_path)).expect("write bench report");
-    println!("wrote {out_path}");
+    args.save(&run);
 
     assert!(
         bytes_per_node <= BYTES_PER_NODE_CEILING,

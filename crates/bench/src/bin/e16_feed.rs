@@ -27,11 +27,11 @@
 //! `--fast` shrinks the workload; `OUT` overrides the output path
 //! (default `BENCH_9.json`).
 
+use dosn_bench::BenchArgs;
 use dosn_core::engine::{Engine, OpBatch};
 use dosn_core::network::{ChordPlane, ReplicatedStore};
 use dosn_obs::{Registry, RunReport, Value};
 use std::collections::BTreeMap;
-use std::path::Path;
 use std::time::Instant;
 
 const SEED: u64 = 0xE16;
@@ -179,21 +179,19 @@ fn digest_identity(users: usize) -> bool {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let out_path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_9.json".to_string());
+    let args = BenchArgs::parse("BENCH_9.json");
 
-    let (users, posts, reads) = if fast { (32, 4, 160) } else { (96, 5, 480) };
+    let (users, posts, reads) = if args.fast {
+        (32, 4, 160)
+    } else {
+        (96, 5, 480)
+    };
     let readers = zipf_readers(users, reads);
     // Friendship is mutual, so the ring gives every user 2*DEGREE friends.
     let expect_items = 2 * DEGREE * K.min(posts);
 
     // ---- correctness headline first: cache on/off digest identity ----
-    let identical = digest_identity(if fast { 12 } else { 24 });
+    let identical = digest_identity(if args.fast { 12 } else { 24 });
     println!(
         "digest identity: cache-on and cache-off batch digests {}",
         if identical { "MATCH" } else { "DIVERGE" }
@@ -238,7 +236,7 @@ fn main() {
         stats.evictions,
     );
 
-    let mut run = RunReport::new("E16 feed caching", fast);
+    let mut run = RunReport::new("E16 feed caching", args.fast);
     // Correctness gates at zero tolerance: any digest divergence between
     // cached and uncached execution is a bug, not noise.
     run.set_headline("cache_digest_identical", f64::from(identical), true, 0.0);
@@ -267,8 +265,7 @@ fn main() {
         Value::from(stats.invalidations),
     );
     run.add_row(row);
-    run.save(Path::new(&out_path)).expect("write bench report");
-    println!("wrote {out_path}");
+    args.save(&run);
 
     assert!(identical, "cache changed a batch digest");
     assert!(

@@ -27,6 +27,7 @@
 //! Usage: `cargo run --release -p dosn-bench --bin e17_adversary
 //! [--fast] [OUT]` (default OUT `BENCH_10.json`).
 
+use dosn_bench::BenchArgs;
 use dosn_core::engine::{Engine, OpBatch};
 use dosn_core::network::{AdversaryConfig, AdversaryPlane, ChordPlane, ReplicatedStore};
 use dosn_core::scenario::{
@@ -34,7 +35,6 @@ use dosn_core::scenario::{
 };
 use dosn_obs::{RunReport, Value};
 use std::collections::BTreeMap;
-use std::path::Path;
 
 const SEED: u64 = 0xE17;
 
@@ -75,22 +75,16 @@ fn noop_digest_identity(users: usize) -> bool {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let out_path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_10.json".to_string());
+    let args = BenchArgs::parse("BENCH_10.json");
 
-    let cfg = if fast {
+    let cfg = if args.fast {
         ScenarioConfig::new(SEED).fast()
     } else {
         ScenarioConfig::new(SEED)
     };
 
     // ---- correctness headline first: the no-op gate ----
-    let identical = noop_digest_identity(if fast { 12 } else { 24 });
+    let identical = noop_digest_identity(if args.fast { 12 } else { 24 });
     println!(
         "no-op gate: bare and disabled-adversary batch digests {}",
         if identical { "MATCH" } else { "DIVERGE" }
@@ -141,7 +135,7 @@ fn main() {
         pod.offline_availability(),
     );
 
-    let mut run = RunReport::new("E17 adversary scenarios", fast);
+    let mut run = RunReport::new("E17 adversary scenarios", args.fast);
     run.set_headline(
         "adversary_noop_digest_identical",
         f64::from(identical),
@@ -203,8 +197,7 @@ fn main() {
         Value::from(pod.owners_exposed),
     );
     run.add_row(row);
-    run.save(Path::new(&out_path)).expect("write bench report");
-    println!("wrote {out_path}");
+    args.save(&run);
 
     // Hard invariants, independent of the gate baselines.
     assert!(identical, "disabled adversary changed a batch digest");

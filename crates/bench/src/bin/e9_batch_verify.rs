@@ -12,7 +12,7 @@
 //! `--fast` cuts iteration counts for CI; `OUT` overrides the output path
 //! (default `BENCH_7.json` in the working directory).
 
-use dosn_bench::{table_header, table_row};
+use dosn_bench::{table_header, table_row, time_ns, BenchArgs};
 use dosn_crypto::batch::batch_verify;
 use dosn_crypto::chacha::SecureRng;
 use dosn_crypto::group::{GroupSize, SchnorrGroup};
@@ -20,23 +20,11 @@ use dosn_crypto::schnorr::{Signature, SigningKey};
 use dosn_obs::{Registry, RunReport, Value};
 use std::collections::BTreeMap;
 use std::hint::black_box;
-use std::path::Path;
-use std::time::Instant;
 
 /// Envelopes per combined check: the acceptance criterion's batch size.
 const BATCH: usize = 64;
 /// Replication factor of the quorum-read shape.
 const R: usize = 3;
-
-/// Wall time per call in nanoseconds (one warmup call excluded).
-fn time_ns<F: FnMut()>(iters: u32, mut f: F) -> f64 {
-    f();
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_nanos() as f64 / f64::from(iters)
-}
 
 struct Row {
     bits: u64,
@@ -47,18 +35,12 @@ struct Row {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let out_path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_7.json".to_string());
+    let args = BenchArgs::parse("BENCH_7.json");
 
     let obs = Registry::new();
     let mut rows: Vec<Row> = Vec::new();
     for (size, bits) in [(GroupSize::Demo, 512u64), (GroupSize::Legacy, 1024)] {
-        let iters = match (bits, fast) {
+        let iters = match (bits, args.fast) {
             (512, false) => 6,
             (512, true) => 2,
             (_, false) => 3,
@@ -164,7 +146,7 @@ fn main() {
     // BENCH_7.json: the gate compares both headlines against the committed
     // baseline. The speedup is a ratio (machine-insensitive, 30%
     // tolerance); the absolute rate gets a wider band for CI-runner noise.
-    let mut report = RunReport::new("E9 batched Schnorr verification", fast);
+    let mut report = RunReport::new("E9 batched Schnorr verification", args.fast);
     report.set_headline("verified_envelopes_per_sec", headline_rate, true, 0.50);
     report.set_headline("batch64_verify_speedup", speedup, true, 0.30);
     report.record_registry(&obs);
@@ -180,10 +162,7 @@ fn main() {
         );
         report.add_row(row);
     }
-    report
-        .save(Path::new(&out_path))
-        .expect("write bench report");
-    println!("wrote {out_path}");
+    args.save(&report);
 
     if speedup < 4.0 {
         eprintln!("WARNING: batch-64 verification speedup below the 4x acceptance target");

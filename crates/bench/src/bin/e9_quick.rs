@@ -1,7 +1,11 @@
 //! Quick-mode E9 exponentiation-engine ablation.
 //!
-//! A self-timed (no Criterion) version of the `e9_ablations` modpow sweep
-//! that finishes in seconds and writes machine-readable results to
+//! Each path adds one engine feature: `barrett_percall` rebuilds the
+//! reducer inside the timed loop; `barrett_cached` and `ctx_windowed`
+//! amortize it; `fixed_base` adds the precomputed radix-16 table;
+//! `auto_dispatch` is what `BigUint::modpow` picks for the modulus size;
+//! `multi_exp` evaluates g^s·y^e in one pass vs `two_pows` separately. The
+//! sweep finishes in seconds and writes machine-readable results to
 //! `BENCH_2.json`, so CI can track the perf trajectory as an artifact.
 //!
 //! Usage: `cargo run --release -p dosn-bench --bin e9_quick [--fast] [OUT]`
@@ -9,26 +13,13 @@
 //! `--fast` cuts iteration counts for CI; `OUT` overrides the output path
 //! (default `BENCH_2.json` in the working directory).
 
-use dosn_bench::{table_header, table_row};
+use dosn_bench::{table_header, table_row, time_ns, BenchArgs};
 use dosn_bigint::{BarrettReducer, BigUint, ModContext};
 use dosn_crypto::chacha::SecureRng;
 use dosn_crypto::group::{GroupSize, SchnorrGroup};
 use dosn_obs::{Registry, RunReport, Value};
 use std::collections::BTreeMap;
 use std::hint::black_box;
-use std::path::Path;
-use std::time::Instant;
-
-/// Median-of-runs wall time per op in nanoseconds.
-fn time_ns<F: FnMut()>(iters: u32, mut f: F) -> f64 {
-    // One warmup call keeps lazy initialization out of the measurement.
-    f();
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_nanos() as f64 / f64::from(iters)
-}
 
 struct Row {
     bits: u64,
@@ -37,13 +28,7 @@ struct Row {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let out_path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_2.json".to_string());
+    let args = BenchArgs::parse("BENCH_2.json");
 
     let mut rows: Vec<Row> = Vec::new();
 
@@ -56,7 +41,7 @@ fn main() {
         (GroupSize::Legacy, 1024),
         (GroupSize::Standard, 2048),
     ] {
-        let iters = match (bits, fast) {
+        let iters = match (bits, args.fast) {
             (512, false) => 40,
             (512, true) => 10,
             (1024, false) => 12,
@@ -120,6 +105,12 @@ fn main() {
                 }),
             ),
             (
+                "auto_dispatch",
+                Box::new(|| {
+                    black_box(base.modpow(&e, &m));
+                }),
+            ),
+            (
                 "two_pows",
                 Box::new(|| {
                     black_box(ctx.mul(&ctx.pow(&base, &e), &ctx.pow(&base2, &e2)));
@@ -151,7 +142,7 @@ fn main() {
         (GroupSize::Legacy, 1024),
         (GroupSize::Standard, 2048),
     ] {
-        let iters = match (bits, fast) {
+        let iters = match (bits, args.fast) {
             (512, false) => 40,
             (512, true) => 10,
             (1024, false) => 12,
@@ -233,7 +224,7 @@ fn main() {
     // The gate (bench_gate) compares the headline against the committed
     // baseline using the tolerance declared here: a >30% drop in the cached
     // engine's speedup fails CI.
-    let mut report = RunReport::new("E9-quick exponentiation engine ablation", fast);
+    let mut report = RunReport::new("E9-quick exponentiation engine ablation", args.fast);
     report.set_headline("powg_1024_speedup", speedup_1024, true, 0.30);
     report.record_registry(&obs);
     for r in rows.iter().chain(powg_rows.iter()) {
@@ -243,10 +234,7 @@ fn main() {
         row.insert("ns_per_op".to_string(), Value::from(r.ns_per_op));
         report.add_row(row);
     }
-    report
-        .save(Path::new(&out_path))
-        .expect("write bench report");
-    println!("wrote {out_path}");
+    args.save(&report);
 
     if speedup_1024 < 2.0 {
         eprintln!("WARNING: pow_g@1024 speedup below the 2x acceptance target");

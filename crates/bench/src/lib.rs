@@ -1,10 +1,10 @@
-//! Shared workload generators and reporting helpers for the experiment
-//! harness (see DESIGN.md's experiment index and EXPERIMENTS.md for the
-//! recorded results).
+//! Shared workload generators, timing, and reporting helpers for the
+//! experiment harness (see DESIGN.md's experiment index and EXPERIMENTS.md
+//! for the recorded results).
 //!
-//! Each `benches/` target regenerates one experiment: it prints the
-//! experiment's table(s) to stdout (captured into EXPERIMENTS.md) and
-//! registers Criterion timings for the operations the table summarizes.
+//! Each binary under `src/bin/` regenerates one or more experiments: it
+//! prints the experiment's table(s) to stdout (captured into
+//! EXPERIMENTS.md) and writes a [`RunReport`] holding the same numbers.
 
 pub mod gate;
 
@@ -12,6 +12,54 @@ use dosn_core::privacy::{
     AbeGroupScheme, AccessScheme, IbbeGroupScheme, PkeGroupScheme, SymmetricGroupScheme,
 };
 use dosn_crypto::chacha::SecureRng;
+use dosn_obs::RunReport;
+use std::path::Path;
+use std::time::Instant;
+
+/// The `[--fast] [OUT]` command line every experiment binary takes.
+pub struct BenchArgs {
+    /// `--fast`: the reduced workload CI runs and the committed baselines
+    /// were generated with.
+    pub fast: bool,
+    /// Report path: `OUT`, or the binary's default.
+    pub out: String,
+}
+
+impl BenchArgs {
+    /// Reads the process arguments; `default_out` applies when no `OUT`
+    /// is given.
+    pub fn parse(default_out: &str) -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        BenchArgs {
+            fast: args.iter().any(|a| a == "--fast"),
+            out: args
+                .iter()
+                .find(|a| !a.starts_with("--"))
+                .cloned()
+                .unwrap_or_else(|| default_out.to_string()),
+        }
+    }
+
+    /// Writes `report` to the report path and says where it went.
+    pub fn save(&self, report: &RunReport) {
+        report
+            .save(Path::new(&self.out))
+            .expect("write bench report");
+        println!("wrote {}", self.out);
+    }
+}
+
+/// Mean wall time per call of `f` in nanoseconds over `iters` calls,
+/// after one untimed warm-up call that keeps lazy initialization out of
+/// the mean.
+pub fn time_ns<F: FnMut()>(iters: u32, mut f: F) -> f64 {
+    f();
+    let start = Instant::now();
+    for _ in 0..iters {
+        f();
+    }
+    start.elapsed().as_nanos() as f64 / f64::from(iters)
+}
 
 /// Group sizes swept by E1/E2.
 pub const GROUP_SIZES: &[usize] = &[1, 4, 16, 64];

@@ -186,13 +186,9 @@ pub enum OpOutput {
 }
 
 /// Wall-clock measurement aids for one op — *not* part of the determinism
-/// contract (excluded from [`BatchReport::digest`]). The throughput bench
-/// uses these, binned by `shard`, to model the parallel phases' critical
-/// path at different worker counts.
+/// contract (excluded from [`BatchReport::digest`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OpTiming {
-    /// The state shard the op was routed to (by author).
-    pub shard: usize,
     /// Time spent in the parallel prepare stage, µs.
     pub prepare_micros: u64,
     /// Time spent in the parallel finish stage, µs.

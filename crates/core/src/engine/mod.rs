@@ -94,7 +94,7 @@ use dosn_overlay::fault::FaultPlan;
 use dosn_overlay::id::Key;
 use dosn_overlay::metrics::Metrics;
 use dosn_overlay::replication::{
-    apply_crash_schedule, quorum_vote, quorum_vote_batch, FetchedCopies, ReplicatedStore,
+    apply_crash_schedule, quorum_vote_batch, FetchedCopies, ReplicatedStore,
 };
 use dosn_overlay::storage::{StorageError, StoragePlane};
 use std::collections::BTreeMap;
@@ -104,10 +104,8 @@ use std::time::Instant;
 /// Fixed shard count. Constant (and larger than any sensible worker
 /// count) so that the user→shard routing — and therefore every
 /// scheme-internal RNG sequence — is independent of how many workers the
-/// engine happens to run with. Public because [`OpTiming::shard`]
-/// consumers (the E14 throughput model) reproduce the engine's
-/// shard→worker chunking.
-pub const NUM_SHARDS: usize = 32;
+/// engine happens to run with.
+const NUM_SHARDS: usize = 32;
 
 /// One slice of per-user state: the users routed here plus their §IV
 /// integrity state. A worker thread owns whole shards during the parallel
@@ -128,10 +126,8 @@ impl Shard {
 
 /// Stable user→shard routing: first eight big-endian bytes of
 /// `SHA-256(name)` mod [`NUM_SHARDS`]. Must never depend on registration
-/// order or worker count. Public because [`OpTiming::shard`] consumers
-/// (the E14 throughput model) reproduce the engine's shard→worker
-/// binning, and workload shapers use it to spread authors evenly.
-pub fn shard_of(name: &str) -> usize {
+/// order or worker count.
+fn shard_of(name: &str) -> usize {
     let digest = sha256(name.as_bytes());
     let mut eight = [0u8; 8];
     eight.copy_from_slice(&digest[..8]);
@@ -182,7 +178,12 @@ enum WriteJob {
 }
 
 enum Prepared {
-    Posted { seq: u64, key: Key, record: Vec<u8> },
+    Posted {
+        seq: u64,
+        key: Key,
+        record: Vec<u8>,
+        shard: usize,
+    },
     Commented,
 }
 
@@ -237,7 +238,7 @@ struct ReadOut {
 /// The batched parallel request engine (see module docs). Owns everything
 /// the old monolithic facade owned — the crypto group, key directory,
 /// replicated storage, social graph, metrics — with per-user state split
-/// into [`NUM_SHARDS`] shards that worker threads borrow during the
+/// into a fixed set of shards that worker threads borrow during the
 /// parallel phases.
 pub struct Engine<S: StoragePlane> {
     group: SchnorrGroup,
@@ -251,7 +252,6 @@ pub struct Engine<S: StoragePlane> {
     next_op_index: u64,
     workers: usize,
     drain_seed: Option<u64>,
-    batch_verify: bool,
     /// Reader-side materialized timelines (L1). `None` = caching off; op
     /// outcomes are byte-identical either way (see [`crate::feed`]).
     feed: Option<FeedCache>,
@@ -295,7 +295,6 @@ impl<S: StoragePlane> Engine<S> {
             next_op_index: 0,
             workers: 1,
             drain_seed: None,
-            batch_verify: true,
             feed: None,
         }
     }
@@ -333,21 +332,6 @@ impl<S: StoragePlane> Engine<S> {
         eight.copy_from_slice(&self.seed[..8]);
         self.storage
             .enable_hot_cache(capacity, u64::from_be_bytes(eight));
-    }
-
-    /// Toggles batched Schnorr verification in the finish phase's quorum
-    /// reads. On (the default), each read's copies are verified in one
-    /// combined random-linear-combination check; off restores per-copy
-    /// verification. Results and [`BatchReport::digest`] are byte-identical
-    /// either way — the toggle exists so the equivalence suites can prove
-    /// that, and for A/B timing in the E9 bench.
-    pub fn set_batch_verify(&mut self, on: bool) {
-        self.batch_verify = on;
-    }
-
-    /// Whether finish-phase quorum reads use batched verification.
-    pub fn batch_verify(&self) -> bool {
-        self.batch_verify
     }
 
     /// Sets the adversarial-scheduler seed: with `Some(seed)`, the commit
@@ -631,7 +615,6 @@ impl<S: StoragePlane> Engine<S> {
             directory: self.directory.clone(),
             obs: self.obs.clone(),
             seed: self.seed,
-            batch_verify: self.batch_verify,
         }
     }
 }
@@ -878,7 +861,6 @@ fn stage_batch(
     for (i, op) in ops.iter().enumerate() {
         match op {
             Op::Register { name } => {
-                timings[i].shard = shard_of(name);
                 if user_in(shards, name).is_some() || !pending_names.insert(name.clone()) {
                     results[i] = Some(Err(DosnError::UnknownUser(format!(
                         "{name} already registered"
@@ -891,16 +873,8 @@ fn stage_batch(
                     name: name.clone(),
                 });
             }
-            Op::Befriend { a, .. } => {
-                timings[i].shard = shard_of(a);
-                befriend_ops.push(i);
-            }
-            Op::Post { author, .. } | Op::Comment { author, .. } => {
-                timings[i].shard = shard_of(author);
-            }
-            Op::ReadPost { author, .. } => {
-                timings[i].shard = shard_of(author);
-            }
+            Op::Befriend { .. } => befriend_ops.push(i),
+            Op::Post { .. } | Op::Comment { .. } | Op::ReadPost { .. } => {}
         }
     }
     plan_timer.observe();
@@ -1093,13 +1067,18 @@ fn stage_batch(
     for out in write_outs {
         timings[out.op_idx].prepare_micros = out.micros;
         match out.result {
-            Ok(Prepared::Posted { seq, key, record }) => {
+            Ok(Prepared::Posted {
+                seq,
+                key,
+                record,
+                shard,
+            }) => {
                 entries.push(CommitEntry {
                     op_idx: out.op_idx,
                     seq,
                     key,
                     record,
-                    shard: timings[out.op_idx].shard,
+                    shard,
                 });
             }
             Ok(Prepared::Commented) => {
@@ -1586,7 +1565,6 @@ struct WorkerCtx {
     directory: KeyDirectory,
     obs: Registry,
     seed: [u8; 32],
-    batch_verify: bool,
 }
 
 fn elapsed_micros(started: Instant) -> u64 {
@@ -1621,6 +1599,7 @@ fn prepare_post(
         seq,
         key: wall_key(author, seq),
         record,
+        shard: shard_of(author),
     })
 }
 
@@ -1675,34 +1654,23 @@ fn finish_read(
     };
     let verify_hist = ctx.obs.histogram(names::CRYPTO_SCHNORR_VERIFY);
     let quorum_started = Instant::now();
-    let vote = if ctx.batch_verify {
-        // All copies verify in one combined Schnorr check (R byte-identical
-        // replicas collapse to one slot); one histogram sample covers the
-        // whole batch.
-        quorum_vote_batch(fetched, read_quorum, |copies| {
-            let started = Instant::now();
-            let verdicts = SignedEnvelope::verify_wire_copies_batch(
-                &author_id,
-                job.seq,
-                copies,
-                &ctx.group,
-                &ctx.directory,
-                None,
-                u64::MAX - 1,
-            );
-            verify_hist.record(elapsed_micros(started));
-            verdicts
-        })
-    } else {
-        quorum_vote(fetched, read_quorum, |bytes| {
-            let started = Instant::now();
-            let ok = SignedEnvelope::decode_wire(&author_id, job.seq, bytes, &ctx.group)
-                .and_then(|(env, _)| env.verify(&ctx.directory, None, u64::MAX - 1))
-                .is_ok();
-            verify_hist.record(elapsed_micros(started));
-            ok
-        })
-    };
+    // All copies verify in one combined Schnorr check (R byte-identical
+    // replicas collapse to one slot); one histogram sample covers the
+    // whole batch.
+    let vote = quorum_vote_batch(fetched, read_quorum, |copies| {
+        let started = Instant::now();
+        let verdicts = SignedEnvelope::verify_wire_copies_batch(
+            &author_id,
+            job.seq,
+            copies,
+            &ctx.group,
+            &ctx.directory,
+            None,
+            u64::MAX - 1,
+        );
+        verify_hist.record(elapsed_micros(started));
+        verdicts
+    });
     ctx.obs
         .histogram(names::STORE_GET_QUORUM)
         .record(job.fetch_micros + elapsed_micros(quorum_started));

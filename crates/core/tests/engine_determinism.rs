@@ -85,39 +85,6 @@ proptest! {
     }
 
     #[test]
-    fn batched_verification_never_changes_digests(
-        seed in 0u64..1_000_000,
-        ops in proptest::collection::vec(op(), 1..40),
-    ) {
-        // Batched Schnorr verification is a pure evaluation strategy: at
-        // every worker count the digest (and each op's outcome kind) must
-        // be byte-identical to per-envelope verification.
-        let mut baseline = engine(seed, 1);
-        baseline.set_batch_verify(false);
-        let base_report = baseline.execute(OpBatch::from_ops(ops.clone()));
-
-        for workers in [1usize, 2, 8] {
-            let mut e = engine(seed, workers);
-            e.set_batch_verify(true);
-            let report = e.execute(OpBatch::from_ops(ops.clone()));
-            prop_assert_eq!(
-                base_report.digest_hex(),
-                report.digest_hex(),
-                "batch-verify digest diverged at {} workers",
-                workers
-            );
-            for (i, (a, b)) in base_report.results.iter().zip(&report.results).enumerate() {
-                prop_assert_eq!(
-                    a.is_ok(),
-                    b.is_ok(),
-                    "op {} outcome kind diverged under batch verify at {} workers: {:?} vs {:?}",
-                    i, workers, a, b
-                );
-            }
-        }
-    }
-
-    #[test]
     fn split_batches_match_one_batch_digest_stream(
         seed in 0u64..1_000_000,
         ops in proptest::collection::vec(op(), 2..16),

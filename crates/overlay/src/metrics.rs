@@ -14,8 +14,9 @@ pub struct Metrics {
     pub messages: u64,
     /// Total bytes attributed to messages (approximate payload accounting).
     pub bytes: u64,
-    /// Per-message-type counts.
-    pub by_type: BTreeMap<String, u64>,
+    /// Per-message-type counts, keyed by the `names::` constant or
+    /// literal each call site passes.
+    pub by_type: BTreeMap<&'static str, u64>,
     /// Simulated wall-clock accumulated along the *critical path*, ms.
     /// Meaningful within one sequential operation; across bundles use
     /// [`Metrics::latency`], which merges correctly.
@@ -35,19 +36,19 @@ impl Metrics {
 
     /// Records one message of `kind` with `bytes` payload and `latency_ms`
     /// on the critical path.
-    pub fn record(&mut self, kind: &str, bytes: u64, latency_ms: u64) {
+    pub fn record(&mut self, kind: &'static str, bytes: u64, latency_ms: u64) {
         self.messages += 1;
         self.bytes += bytes;
         self.add_latency(latency_ms);
-        *self.by_type.entry(kind.to_owned()).or_insert(0) += 1;
+        *self.by_type.entry(kind).or_insert(0) += 1;
     }
 
     /// Records a message that is *not* on the critical path (parallel fan-out
     /// such as flooding): counts it without adding latency.
-    pub fn record_offpath(&mut self, kind: &str, bytes: u64) {
+    pub fn record_offpath(&mut self, kind: &'static str, bytes: u64) {
         self.messages += 1;
         self.bytes += bytes;
-        *self.by_type.entry(kind.to_owned()).or_insert(0) += 1;
+        *self.by_type.entry(kind).or_insert(0) += 1;
     }
 
     /// Adds `latency_ms` of critical-path latency without attributing a
@@ -71,8 +72,8 @@ impl Metrics {
         self.bytes += other.bytes;
         self.latency_ms = self.latency_ms.max(other.latency_ms);
         self.latency.merge(&other.latency);
-        for (k, v) in &other.by_type {
-            *self.by_type.entry(k.clone()).or_insert(0) += v;
+        for (&k, v) in &other.by_type {
+            *self.by_type.entry(k).or_insert(0) += v;
         }
     }
 
@@ -84,8 +85,8 @@ impl Metrics {
     /// Increments a named counter by `n` without attributing a message —
     /// layer-level accounting (quorum sizes, replica writes, read repairs)
     /// that should not inflate the overlay's message totals.
-    pub fn bump(&mut self, kind: &str, n: u64) {
-        *self.by_type.entry(kind.to_owned()).or_insert(0) += n;
+    pub fn bump(&mut self, kind: &'static str, n: u64) {
+        *self.by_type.entry(kind).or_insert(0) += n;
     }
 }
 
@@ -205,63 +206,6 @@ impl PerNodeMetrics {
     }
 }
 
-/// A tiny fixed-bucket histogram for hop counts and latencies.
-#[derive(Debug, Clone, Default)]
-pub struct Histogram {
-    samples: Vec<u64>,
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a sample.
-    pub fn add(&mut self, value: u64) {
-        self.samples.push(value);
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Arithmetic mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().sum::<u64>() as f64 / self.samples.len() as f64
-    }
-
-    /// The `p`-quantile (0.0..=1.0) by nearest-rank; 0 when empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1]`.
-    pub fn quantile(&self, p: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&p), "quantile out of range");
-        if self.samples.is_empty() {
-            return 0;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        let rank = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-        sorted[rank]
-    }
-
-    /// Maximum sample (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.samples.iter().copied().max().unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,29 +278,6 @@ mod tests {
         assert_eq!(m.latency.count(), 2);
         assert_eq!(m.latency.sum(), 16);
         assert_eq!(m.messages, 0, "add_latency must not count a message");
-    }
-
-    #[test]
-    fn histogram_stats() {
-        let mut h = Histogram::new();
-        assert!(h.is_empty());
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.quantile(0.5), 0);
-        for v in [1u64, 2, 3, 4, 100] {
-            h.add(v);
-        }
-        assert_eq!(h.len(), 5);
-        assert_eq!(h.mean(), 22.0);
-        assert_eq!(h.quantile(0.5), 3);
-        assert_eq!(h.quantile(1.0), 100);
-        assert_eq!(h.quantile(0.0), 1);
-        assert_eq!(h.max(), 100);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile out of range")]
-    fn quantile_rejects_bad_p() {
-        Histogram::new().quantile(1.5);
     }
 
     #[test]
