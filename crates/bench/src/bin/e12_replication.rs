@@ -1,6 +1,6 @@
 //! E12: replication factor sweep over every storage plane.
 //!
-//! Drives the assembled facade (`DosnNetwork<S>`) over all four §II-B
+//! Drives the request engine (`Engine<S>`) over all four §II-B
 //! overlay families × replication factors R ∈ {1, 3, 5} and measures, per
 //! cell: post and read throughput, stored bytes per post (the R× storage
 //! price), and wall availability + read-repair activity after a 25% node
@@ -12,9 +12,9 @@
 //! (default `BENCH_3.json` in the working directory).
 
 use dosn_bench::{table_header, table_row, BenchArgs};
+use dosn_core::engine::Engine;
 use dosn_core::network::{
-    ChordPlane, DosnNetwork, FederationPlane, KademliaPlane, ReplicatedStore, StoragePlane,
-    SuperPeerPlane,
+    ChordPlane, FederationPlane, KademliaPlane, ReplicatedStore, StoragePlane, SuperPeerPlane,
 };
 use dosn_obs::{Registry, RunReport, Value};
 use dosn_overlay::fault::FaultPlan;
@@ -56,7 +56,7 @@ fn run_cell<S: StoragePlane>(
     // net.post / net.read_post.quorum / store.get.quorum histograms cover
     // all overlay x R cells together.
     let store = ReplicatedStore::new(plane, replicas).with_obs(obs.clone());
-    let mut net = DosnNetwork::with_replication(store, SEED);
+    let mut net = Engine::new(store, SEED);
     for i in 0..cfg.users {
         net.register(&user(i)).expect("register");
     }

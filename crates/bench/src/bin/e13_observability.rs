@@ -1,4 +1,4 @@
-//! E13: observability smoke run over the assembled facade.
+//! E13: observability smoke run over the request engine.
 //!
 //! Exercises every instrumented path once — registration, key
 //! dissemination, posting, quorum reads, a crash plus read-repair — over a
@@ -14,7 +14,8 @@
 //! overrides the output path (default `BENCH_4.json`).
 
 use dosn_bench::BenchArgs;
-use dosn_core::network::{ChordPlane, DosnNetwork, ReplicatedStore, StoragePlane};
+use dosn_core::engine::Engine;
+use dosn_core::network::{ChordPlane, ReplicatedStore, StoragePlane};
 use dosn_obs::{Registry, RunReport, Value};
 use dosn_overlay::fault::FaultPlan;
 use std::collections::BTreeMap;
@@ -33,7 +34,7 @@ fn main() {
 
     let obs = Registry::new();
     let store = ReplicatedStore::new(ChordPlane::build(32, SEED), 3).with_obs(obs.clone());
-    let mut net = DosnNetwork::with_replication(store, SEED);
+    let mut net = Engine::new(store, SEED);
 
     for i in 0..users {
         net.register(&user(i)).expect("register");

@@ -1,11 +1,11 @@
 //! The batched request engine: prepare / commit / finish execution of
 //! [`OpBatch`]es over sharded per-user state.
 //!
-//! The facade's one-op-at-a-time `&mut self` API serializes everything,
-//! even though the dominant per-op cost — modular exponentiation for
-//! Schnorr sign/verify and the privacy planes' key wrapping — is
-//! independent per author. The engine restores that parallelism without
-//! giving up determinism:
+//! [`Engine`] is the single request API of an assembled DOSN. Executing
+//! one op at a time would serialize everything, even though the dominant
+//! per-op cost — modular exponentiation for Schnorr sign/verify and the
+//! privacy planes' key wrapping — is independent per author. The engine
+//! batches ops to restore that parallelism without giving up determinism:
 //!
 //! ```text
 //!            OpBatch (Register | Befriend | Post | Comment | ReadPost)
@@ -51,8 +51,9 @@
 //! — never from a shared stream — and each user's ops execute in batch
 //! order inside the one shard that owns that user. Outputs (ciphertexts,
 //! signatures, sequence numbers, storage records, [`BatchReport::digest`])
-//! are therefore **byte-identical for any worker count**, and a batch of
-//! one behaves exactly like the single-op facade calls. The global op
+//! are therefore **byte-identical for any worker count**, and the
+//! single-op helpers ([`Engine::register`], [`Engine::post`], …) are
+//! exactly batches of one. The global op
 //! index persists across batches, so splitting a workload into many
 //! batches does not reuse nonces or change results.
 //!
@@ -94,7 +95,7 @@ use dosn_overlay::fault::FaultPlan;
 use dosn_overlay::id::Key;
 use dosn_overlay::metrics::Metrics;
 use dosn_overlay::replication::{
-    apply_crash_schedule, quorum_vote_batch, FetchedCopies, ReplicatedStore,
+    apply_crash_schedule, quorum_inspect, FetchedCopies, ReplicatedStore,
 };
 use dosn_overlay::storage::{StorageError, StoragePlane};
 use std::collections::BTreeMap;
@@ -136,8 +137,8 @@ fn shard_of(name: &str) -> usize {
 
 /// Derives the RNG for global op `index`: `HKDF-SHA256` with the engine
 /// seed as input keying material and the op index as info. Op N's
-/// randomness is independent of what ops 1..N-1 did — the fix for the
-/// facade-wide shared-stream coupling, and the reason results don't
+/// randomness is independent of what ops 1..N-1 did — no shared RNG
+/// stream couples ops together, which is the reason results don't
 /// depend on scheduling.
 fn op_rng(seed: &[u8; 32], index: u64) -> SecureRng {
     let okm = hkdf(b"dosn.engine.op.rng.v1", seed, &index.to_be_bytes(), 32);
@@ -235,11 +236,70 @@ struct ReadOut {
     micros: u64,
 }
 
-/// The batched parallel request engine (see module docs). Owns everything
-/// the old monolithic facade owned — the crypto group, key directory,
-/// replicated storage, social graph, metrics — with per-user state split
-/// into a fixed set of shards that worker threads borrow during the
-/// parallel phases.
+/// The batched parallel request engine (see module docs). Owns the whole
+/// assembled network — the crypto group, key directory, replicated
+/// storage, social graph, metrics — with per-user state split into a
+/// fixed set of shards that worker threads borrow during the parallel
+/// phases.
+///
+/// ```
+/// use dosn_core::engine::Engine;
+/// use dosn_core::network::{ChordPlane, ReplicatedStore};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut net = Engine::new(ReplicatedStore::new(ChordPlane::build(32, 42), 3), 42);
+/// net.register("alice")?;
+/// net.register("bob")?;
+/// net.befriend("alice", "bob", 0.9)?;
+///
+/// let post_key = net.post("alice", "dinner at my place, friends only")?;
+/// // Bob (a friend) reads and verifies; the DHT nodes never see plaintext.
+/// let body = net.read_post("bob", "alice", post_key)?;
+/// assert_eq!(body, "dinner at my place, friends only");
+///
+/// // Carol (a stranger) is refused at the decryption layer.
+/// net.register("carol")?;
+/// assert!(net.read_post("carol", "alice", post_key).is_err());
+/// # Ok(())
+/// # }
+/// ```
+///
+/// Any overlay family slots in as the storage plane:
+///
+/// ```
+/// use dosn_core::engine::Engine;
+/// use dosn_core::network::{KademliaPlane, ReplicatedStore};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut net = Engine::new(ReplicatedStore::new(KademliaPlane::build(32, 20, 7), 3), 7);
+/// net.register("alice")?;
+/// net.register("bob")?;
+/// net.befriend("alice", "bob", 1.0)?;
+/// let seq = net.post("alice", "same API, different overlay")?;
+/// assert_eq!(net.read_post("bob", "alice", seq)?, "same API, different overlay");
+/// # Ok(())
+/// # }
+/// ```
+///
+/// The single-op helpers are batches of one; callers that want
+/// throughput submit a whole [`OpBatch`]:
+///
+/// ```
+/// use dosn_core::engine::{Engine, OpBatch, OpOutput};
+/// use dosn_core::network::{ChordPlane, ReplicatedStore};
+///
+/// let mut net = Engine::new(ReplicatedStore::new(ChordPlane::build(32, 42), 3), 42);
+/// net.set_workers(4); // parallel prepare/finish; results unchanged
+/// let report = net.execute(
+///     OpBatch::new()
+///         .register("alice")
+///         .register("bob")
+///         .befriend("alice", "bob", 0.9)
+///         .post("alice", "batched hello")
+///         .read_post("bob", "alice", 0),
+/// );
+/// assert!(matches!(report.results[4], Ok(OpOutput::Read { .. })));
+/// ```
 pub struct Engine<S: StoragePlane> {
     group: SchnorrGroup,
     directory: KeyDirectory,
@@ -280,7 +340,7 @@ impl<S: StoragePlane> Engine<S> {
         // One process-wide group instance per size: engines share the
         // fixed-base table cache instead of each rebuilding its own
         // generator/key tables (E14 counted 224 table misses from
-        // per-facade rebuilds of identical tables).
+        // per-engine rebuilds of identical tables).
         let group = SchnorrGroup::shared(GroupSize::Toy);
         group.register_obs(&obs);
         Engine {
@@ -352,7 +412,7 @@ impl<S: StoragePlane> Engine<S> {
     /// Sets the worker-thread count for the parallel phases (clamped to
     /// `1..=NUM_SHARDS`). Worker count never changes results — only
     /// wall-clock time. With one worker the engine runs inline, without
-    /// spawning threads, so single-op facade calls pay no thread overhead.
+    /// spawning threads, so single-op helper calls pay no thread overhead.
     pub fn set_workers(&mut self, workers: usize) {
         self.workers = workers.clamp(1, NUM_SHARDS);
     }
@@ -463,13 +523,20 @@ impl<S: StoragePlane> Engine<S> {
         Ok(items)
     }
 
-    /// Applies a fault plan's crash schedule to the storage plane.
+    /// Applies a fault plan's crash schedule to the storage plane as of
+    /// `now_ms` (see [`apply_crash_schedule`]). Returns how many storage
+    /// nodes are down afterwards.
     pub fn apply_crashes(&mut self, plan: &FaultPlan, now_ms: u64) -> usize {
         apply_crash_schedule(self.storage.plane_mut(), plan, now_ms)
     }
 
-    /// Refreshes derived gauges and snapshots every instrument (see
-    /// `DosnNetwork::publish_obs`).
+    /// Refreshes derived gauges (overlay traffic totals, big-integer
+    /// exponentiation tallies) and returns a point-in-time [`Snapshot`] of
+    /// every instrument. Call this right before exporting — the gauges are
+    /// snapshots, not live counters. End-to-end op latencies land in the
+    /// registry as `net.post`, `net.read_post.quorum`, `net.register` and
+    /// `net.key_dissemination`, next to the phase timings `engine.plan` /
+    /// `engine.prepare` / `engine.commit` / `engine.finish`.
     pub fn publish_obs(&self) -> Snapshot {
         self.group.register_obs(&self.obs);
         self.obs
@@ -569,6 +636,90 @@ impl<S: StoragePlane> Engine<S> {
     pub fn execute(&mut self, batch: OpBatch) -> BatchReport {
         let staged = self.stage(batch);
         self.exec(staged)
+    }
+
+    /// Registers a user with the default symmetric friends-group scheme
+    /// (a batch of one).
+    ///
+    /// # Errors
+    ///
+    /// [`DosnError::UnknownUser`] if the name is already taken (reported
+    /// against the name).
+    pub fn register(&mut self, name: &str) -> Result<(), DosnError> {
+        match single(self.execute(OpBatch::new().register(name)))? {
+            OpOutput::Registered => Ok(()),
+            other => Err(unexpected_output("register", &other)),
+        }
+    }
+
+    /// Makes two users friends: graph edge + mutual friends-group
+    /// membership (each can now read the other's friends-only posts).
+    ///
+    /// # Errors
+    ///
+    /// [`DosnError::UnknownUser`] for unregistered names.
+    pub fn befriend(&mut self, a: &str, b: &str, trust: f64) -> Result<(), DosnError> {
+        match single(self.execute(OpBatch::new().befriend(a, b, trust)))? {
+            OpOutput::Befriended => Ok(()),
+            other => Err(unexpected_output("befriend", &other)),
+        }
+    }
+
+    /// Publishes a friends-only post: encrypt (privacy plane) → sign +
+    /// chain + mint relation keys (integrity plane) → R-way store
+    /// (storage). Returns the author-local sequence number.
+    ///
+    /// # Errors
+    ///
+    /// [`DosnError::UnknownUser`], privacy-plane sealing failures, and
+    /// [`DosnError::ContentUnavailable`] for storage failures.
+    pub fn post(&mut self, author: &str, body: &str) -> Result<u64, DosnError> {
+        match single(self.execute(OpBatch::new().post(author, body)))? {
+            OpOutput::Posted { seq } => Ok(seq),
+            other => Err(unexpected_output("post", &other)),
+        }
+    }
+
+    /// Attaches a comment to `author`'s post `seq` as `commenter` — only
+    /// friends hold the commenters key, and the per-post relation key binds
+    /// the comment to exactly that post (§IV-C).
+    ///
+    /// # Errors
+    ///
+    /// * [`DosnError::UnknownUser`] / [`DosnError::ContentUnavailable`];
+    /// * [`DosnError::NotAuthorized`] — commenter is not in the author's
+    ///   friends group.
+    pub fn comment(
+        &mut self,
+        commenter: &str,
+        author: &str,
+        seq: u64,
+        body: &str,
+    ) -> Result<(), DosnError> {
+        let batch = OpBatch::new().comment(commenter, author, seq, body);
+        match single(self.execute(batch))? {
+            OpOutput::Commented => Ok(()),
+            other => Err(unexpected_output("comment", &other)),
+        }
+    }
+
+    /// Fetches (quorum read with envelope verification per copy), verifies,
+    /// and decrypts a post as `reader`.
+    ///
+    /// # Errors
+    ///
+    /// * [`DosnError::ContentUnavailable`] — no live replica / no quorum;
+    /// * [`DosnError::MalformedEnvelope`] — the stored record does not
+    ///   parse;
+    /// * [`DosnError::IntegrityViolation`] — signature/tamper failures;
+    /// * [`DosnError::NotAuthorized`] — reader is not in the author's
+    ///   friends group.
+    pub fn read_post(&mut self, reader: &str, author: &str, seq: u64) -> Result<String, DosnError> {
+        let batch = OpBatch::new().read_post(reader, author, seq);
+        match single(self.execute(batch))? {
+            OpOutput::Read { body } => Ok(body),
+            other => Err(unexpected_output("read_post", &other)),
+        }
     }
 
     /// Stage A of one batch: claim op indices, plan, prepare. Mutates
@@ -717,6 +868,21 @@ struct FeedFill {
 
 /// Mirrors the feed cache's internal counter deltas onto the shared
 /// `cache.*` instruments.
+/// Unwraps a batch-of-one report into its only result. The engine
+/// guarantees one result per op, so the empty case is a typed defect
+/// report, never a panic.
+fn single(mut report: BatchReport) -> Result<OpOutput, DosnError> {
+    report.results.pop().unwrap_or_else(|| {
+        Err(DosnError::IntegrityViolation(
+            "engine returned an empty report for a batch of one".into(),
+        ))
+    })
+}
+
+fn unexpected_output(call: &str, output: &OpOutput) -> DosnError {
+    DosnError::IntegrityViolation(format!("engine returned {output:?} for a {call} op"))
+}
+
 fn bump_feed_stats(obs: &Registry, before: FeedCacheStats, after: FeedCacheStats) {
     for (name, delta) in [
         (names::CACHE_HITS, after.hits - before.hits),
@@ -1657,7 +1823,7 @@ fn finish_read(
     // All copies verify in one combined Schnorr check (R byte-identical
     // replicas collapse to one slot); one histogram sample covers the
     // whole batch.
-    let vote = quorum_vote_batch(fetched, read_quorum, |copies| {
+    let vote = quorum_inspect(fetched, read_quorum, |copies| {
         let started = Instant::now();
         let verdicts = SignedEnvelope::verify_wire_copies_batch(
             &author_id,
@@ -1674,7 +1840,7 @@ fn finish_read(
     ctx.obs
         .histogram(names::STORE_GET_QUORUM)
         .record(job.fetch_micros + elapsed_micros(quorum_started));
-    let winner = match vote {
+    let winner = match vote.into_result() {
         Ok(winner) => winner,
         Err(StorageError::NotFound(_)) => return ReadOutcome::NeedsFallback,
         Err(e) => return ReadOutcome::Done(Err(storage_to_dosn(e))),
@@ -1709,6 +1875,7 @@ fn finish_read(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dosn_crypto::chacha::SecureRng;
     use dosn_overlay::storage::ChordPlane;
 
     fn engine(seed: u64) -> Engine<ChordPlane> {
@@ -1944,5 +2111,231 @@ mod tests {
         assert!(matches!(r1.results[0], Ok(OpOutput::Posted { seq: 0 })));
         assert!(matches!(r2.results[0], Ok(OpOutput::Posted { seq: 1 })));
         assert_ne!(r1.digest, r2.digest);
+    }
+
+    fn net() -> Engine<ChordPlane> {
+        let mut n = Engine::new(ReplicatedStore::new(ChordPlane::build(16, 3), 3), 3);
+        for u in ["alice", "bob", "carol"] {
+            n.register(u).unwrap();
+        }
+        n.befriend("alice", "bob", 0.9).unwrap();
+        n
+    }
+
+    #[test]
+    fn friends_read_strangers_do_not() {
+        let mut n = net();
+        let seq = n.post("alice", "friends only").unwrap();
+        assert_eq!(n.read_post("bob", "alice", seq).unwrap(), "friends only");
+        assert!(matches!(
+            n.read_post("carol", "alice", seq),
+            Err(DosnError::NotAuthorized(_))
+        ));
+    }
+
+    #[test]
+    fn double_registration_rejected() {
+        let mut n = net();
+        assert!(n.register("alice").is_err());
+    }
+
+    #[test]
+    fn unknown_users_rejected_everywhere() {
+        let mut n = net();
+        assert!(n.befriend("alice", "ghost", 0.5).is_err());
+        assert!(n.post("ghost", "x").is_err());
+        assert!(n.read_post("ghost", "alice", 0).is_err());
+    }
+
+    #[test]
+    fn missing_post_unavailable() {
+        let mut n = net();
+        assert!(matches!(
+            n.read_post("bob", "alice", 99),
+            Err(DosnError::ContentUnavailable(_))
+        ));
+    }
+
+    #[test]
+    fn unfriending_revokes_future_posts() {
+        let mut n = net();
+        let old = n.post("alice", "while friends").unwrap();
+        assert!(n.read_post("bob", "alice", old).is_ok());
+        let rekeyed = n.unfriend("alice", "bob").unwrap();
+        assert!(rekeyed <= 2);
+        let new = n.post("alice", "after the falling out").unwrap();
+        assert!(n.read_post("bob", "alice", new).is_err());
+        // The fundamental limit: bob still holds the old epoch key.
+        assert!(n.read_post("bob", "alice", old).is_ok());
+    }
+
+    #[test]
+    fn timeline_chains_posts() {
+        let mut n = net();
+        for i in 0..4 {
+            n.post("alice", &format!("post {i}")).unwrap();
+        }
+        let t = n.timeline("alice").unwrap();
+        assert_eq!(t.entries().len(), 4);
+        t.verify(n.directory()).unwrap();
+    }
+
+    #[test]
+    fn friends_comment_strangers_cannot() {
+        let mut n = net();
+        let seq = n.post("alice", "comment away").unwrap();
+        n.comment("bob", "alice", seq, "first!").unwrap();
+        assert_eq!(
+            n.comments("alice", seq),
+            vec![("bob".to_string(), "first!".to_string())]
+        );
+        // Carol is not alice's friend.
+        assert!(matches!(
+            n.comment("carol", "alice", seq, "sneaky"),
+            Err(DosnError::NotAuthorized(_))
+        ));
+        // Nonexistent post.
+        assert!(matches!(
+            n.comment("bob", "alice", 99, "where?"),
+            Err(DosnError::ContentUnavailable(_))
+        ));
+        assert!(n.comments("alice", 99).is_empty());
+    }
+
+    #[test]
+    fn author_comments_own_post() {
+        let mut n = net();
+        let seq = n.post("alice", "self-reply").unwrap();
+        n.comment("alice", "alice", seq, "addendum").unwrap();
+        assert_eq!(n.comments("alice", seq).len(), 1);
+    }
+
+    #[test]
+    fn metrics_accumulate() {
+        let mut n = net();
+        let before = n.metrics().messages;
+        n.post("alice", "x").unwrap();
+        assert!(n.metrics().messages > before);
+    }
+
+    #[test]
+    fn posts_are_replicated_r_ways() {
+        let mut n = net();
+        n.post("alice", "durable").unwrap();
+        assert_eq!(n.metrics().count("store.replicas_written"), 3);
+        assert_eq!(n.storage().accounting().nodes_used(), 3);
+    }
+
+    #[test]
+    fn malformed_stored_blob_is_a_typed_error_not_a_panic() {
+        let mut n = net();
+        let seq = n.post("alice", "will be vandalized").unwrap();
+        // Overwrite every replica with bytes that are not a record.
+        let key = wall_key("alice", seq);
+        let mut m = Metrics::new();
+        n.storage_mut()
+            .put(key, b"not an envelope".to_vec(), &mut m)
+            .unwrap();
+        assert!(matches!(
+            n.read_post("bob", "alice", seq),
+            Err(DosnError::MalformedEnvelope(_))
+        ));
+        // A truncated-header blob is equally survivable.
+        n.storage_mut().put(key, vec![0u8; 5], &mut m).unwrap();
+        assert!(matches!(
+            n.read_post("bob", "alice", seq),
+            Err(DosnError::MalformedEnvelope(_))
+        ));
+    }
+
+    #[test]
+    fn crashed_replica_is_read_repaired() {
+        let mut n = net();
+        let seq = n.post("alice", "survives churn").unwrap();
+        let key = wall_key("alice", seq);
+        let mut m = Metrics::new();
+        let holders = n
+            .storage_mut()
+            .plane_mut()
+            .replica_candidates(key, 3, &mut m)
+            .unwrap();
+        n.storage_mut().plane_mut().set_online(holders[0], false);
+        assert_eq!(n.read_post("bob", "alice", seq).unwrap(), "survives churn");
+        assert!(n.metrics().count("get.repairs") > 0);
+    }
+
+    #[test]
+    fn obs_times_post_read_and_key_dissemination_end_to_end() {
+        let mut n = net(); // 3 registrations + 1 befriend already timed
+        let seq = n.post("alice", "timed post").unwrap();
+        n.read_post("bob", "alice", seq).unwrap();
+
+        let snap = n.publish_obs();
+        assert_eq!(snap.histograms["net.post"].count(), 1);
+        assert_eq!(snap.histograms["net.read_post.quorum"].count(), 1);
+        assert_eq!(snap.histograms["net.register"].count(), 3);
+        assert_eq!(snap.histograms["net.key_dissemination"].count(), 1);
+        // Quorum read checks every replica's envelope (R = 3 copies) in
+        // one batched Schnorr verification: one histogram sample per read.
+        assert_eq!(snap.histograms["crypto.schnorr.verify"].count(), 1);
+        // Storage-layer timings rode along on the shared registry.
+        assert!(snap.histograms["store.put"].count() >= 1);
+        assert!(snap.histograms["store.get.quorum"].count() >= 1);
+        // Every helper call was a batch of one through the engine phases.
+        assert!(snap.histograms["engine.prepare"].count() >= 5);
+        assert!(snap.counters["engine.ops"] >= 6);
+        // Derived gauges reflect the overlay traffic totals.
+        assert!(snap.gauges["overlay.messages"] > 0.0);
+        assert!(snap.gauges["overlay.bytes"] > 0.0);
+        // And the crypto cache counters were registered live by the group.
+        let (hits, misses) = (
+            snap.counters["crypto.group.pow.table_hit"],
+            snap.counters["crypto.group.pow.table_miss"],
+        );
+        assert!(hits + misses > 0, "group exponentiations should be counted");
+    }
+
+    #[test]
+    fn pke_privacy_plane_composes_with_the_engine() {
+        let mut n = Engine::new(ReplicatedStore::new(ChordPlane::build(16, 9), 3), 9);
+        let mut seed_rng = SecureRng::seed_from_u64(77);
+        let pke = crate::privacy::PkeGroupScheme::with_fresh_identities(
+            &["alice", "bob", "carol"],
+            &mut seed_rng,
+        );
+        n.register_with_plane("alice", PrivacyPlane::new(Box::new(pke)))
+            .unwrap();
+        n.register("bob").unwrap();
+        n.register("carol").unwrap();
+        n.befriend("alice", "bob", 1.0).unwrap();
+        let seq = n.post("alice", "pke wall post").unwrap();
+        assert_eq!(n.read_post("bob", "alice", seq).unwrap(), "pke wall post");
+        assert!(n.read_post("carol", "alice", seq).is_err());
+    }
+
+    #[test]
+    fn helpers_and_one_batch_agree() {
+        // The same workload through the batch-of-one helpers and through
+        // one batch must produce the same readable state.
+        let mut a = Engine::new(ReplicatedStore::new(ChordPlane::build(16, 44), 3), 44);
+        a.register("alice").unwrap();
+        a.register("bob").unwrap();
+        a.befriend("alice", "bob", 1.0).unwrap();
+        let seq = a.post("alice", "one way").unwrap();
+        let single_body = a.read_post("bob", "alice", seq).unwrap();
+
+        let mut b = Engine::new(ReplicatedStore::new(ChordPlane::build(16, 44), 3), 44);
+        let report = b.execute(
+            OpBatch::new()
+                .register("alice")
+                .register("bob")
+                .befriend("alice", "bob", 1.0)
+                .post("alice", "one way")
+                .read_post("bob", "alice", 0),
+        );
+        match &report.results[4] {
+            Ok(OpOutput::Read { body }) => assert_eq!(*body, single_body),
+            other => panic!("batched read failed: {other:?}"),
+        }
     }
 }

@@ -17,13 +17,15 @@
 //! * [`identity`], [`graph`], [`content`] — users, the social graph (with
 //!   trust weights and synthetic generators), and content types.
 //! * [`taxonomy`] — the paper's Table I as a queryable registry.
-//! * [`engine`] — the batched parallel request engine: prepare / commit /
-//!   finish execution of op batches over sharded per-user state.
+//! * [`engine`] — the request API of an assembled DOSN: prepare / commit /
+//!   finish execution of op batches over sharded per-user state, plus
+//!   batch-of-one helpers (`register`, `befriend`, `post`, `comment`,
+//!   `read_post`) for single calls.
 //! * [`feed`] — reader-side materialized timelines whose staleness is
 //!   decided by the integrity plane's hash-chain heads, so cache hits can
 //!   never serve tampered or forked content.
-//! * [`network`] — a facade assembling a complete DOSN (overlay + privacy +
-//!   integrity) as the examples use it; single ops are batches of one.
+//! * [`network`] — the privacy, integrity and replicated-storage planes an
+//!   engine is assembled from, and the overlay storage planes beneath them.
 
 pub mod anonymize;
 pub mod content;

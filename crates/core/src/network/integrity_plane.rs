@@ -4,7 +4,7 @@
 //! author: the hash-chained [`Timeline`], the author-local sequence
 //! counter, per-post [`PostRelationKeys`] (commenter signing keys wrapped
 //! for friends, §IV-C), and the verified comments attached so far. The
-//! facade's privacy plane never sees this state, and this plane never sees
+//! engine's privacy plane never sees this state, and this plane never sees
 //! plaintext — it signs and chains ciphertexts.
 
 use crate::error::DosnError;

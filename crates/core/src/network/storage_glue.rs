@@ -1,4 +1,4 @@
-//! Glue between the facade and the overlay storage layer: key derivation
+//! Glue between the engine and the overlay storage layer: key derivation
 //! and error translation.
 
 use crate::error::DosnError;

@@ -1,4 +1,4 @@
-//! Per-user facade state: identity plus the user's privacy plane.
+//! Per-user engine state: identity plus the user's privacy plane.
 //!
 //! Integrity state (timeline, sequence counter, relation keys, comments)
 //! deliberately does *not* live here — it belongs to the network-wide

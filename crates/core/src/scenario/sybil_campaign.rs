@@ -2,9 +2,8 @@
 //! identities onto the honest graph and sweeps an increasing *attack-edge
 //! budget* (the survey's §VI framing: the sybil region's only lever is how
 //! many honest users it can social-engineer into linking to it). The
-//! random-walk detector ([`SybilDetector`]) is run at CSR scale through the
-//! [`crate::sybil::WalkGraph`] bridge — the same detector that the
-//! `sybil_bridge` test proves verdict-identical on the string graph.
+//! random-walk detector ([`SybilDetector`]) walks the CSR workload graph
+//! directly, so it runs at the same scale as the rest of the workload.
 //!
 //! Per budget the campaign reports precision/recall over the sybil region
 //! plus an honest control group; the bench gates the tightest-budget
@@ -13,7 +12,7 @@
 
 use super::ScenarioConfig;
 use crate::network::{SocialGraphConfig, WorkloadGraph};
-use crate::sybil::{inject_sybil_region_csr, SybilDetector};
+use crate::sybil::{inject_sybil_region, SybilDetector};
 use dosn_obs::{names, Registry, RunReport, Value};
 use std::collections::BTreeMap;
 
@@ -124,11 +123,11 @@ pub fn run(cfg: &ScenarioConfig) -> SybilCampaignOutcome {
     let mut points = Vec::with_capacity(budgets.len());
     for &budget in budgets {
         let (attacked, region) =
-            inject_sybil_region_csr(&honest, sybils, budget, cfg.seed ^ budget as u64);
+            inject_sybil_region(&honest, sybils, budget, cfg.seed ^ budget as u64);
         let suspects: Vec<u32> = region.collect();
-        let (missed, detected) = detector.sweep(&attacked, &verifier, &suspects);
+        let (missed, detected) = detector.sweep(&attacked, verifier, &suspects);
         let (honest_accepted, honest_rejected) =
-            detector.sweep(&attacked, &verifier, &control_group);
+            detector.sweep(&attacked, verifier, &control_group);
         points.push(SybilPoint {
             attack_edges: budget,
             detected,

@@ -12,7 +12,6 @@
 //! * `read_feed` on a user with zero friends returns an empty feed.
 
 use dosn_core::engine::{Engine, Op, OpBatch, OpOutput};
-use dosn_core::network::DosnNetwork;
 use dosn_core::DosnError;
 use dosn_overlay::id::Key;
 use dosn_overlay::metrics::Metrics;
@@ -276,7 +275,7 @@ fn tampered_cache_and_replicas_error_exactly_like_uncached() {
 
 #[test]
 fn read_feed_on_a_user_with_zero_friends_is_empty() {
-    let mut n = DosnNetwork::new(16, 3);
+    let mut n = Engine::new(ReplicatedStore::new(ChordPlane::build(16, 3), 3), 3);
     n.register("hermit").unwrap();
     assert_eq!(n.read_feed("hermit", 10).unwrap(), vec![]);
     // Unregistered readers are a typed error, not an empty feed.
@@ -288,8 +287,7 @@ fn read_feed_on_a_user_with_zero_friends_is_empty() {
 
 #[test]
 fn read_feed_aggregates_the_latest_k_posts_per_friend() {
-    let mut n = DosnNetwork::new(24, 7);
-    n.enable_feed_cache(128);
+    let mut n = cached_engine(7, 128);
     for u in ["alice", "bob", "carol"] {
         n.register(u).unwrap();
     }

@@ -27,11 +27,13 @@ use crate::id::{Key, NodeId};
 use crate::metrics::{Metrics, StorageAccounting};
 use crate::storage::{StorageError, StoragePlane};
 use dosn_obs::{names, Registry};
+use std::collections::BTreeMap;
 
 /// Applies the crash schedule of a [`FaultPlan`] to a storage plane as of
-/// simulated time `now_ms`: nodes inside a crash window go offline, nodes
-/// past their recovery time come back. Crash events naming nodes the plane
-/// does not have are ignored. Returns how many nodes are down afterwards.
+/// simulated time `now_ms`: a node is down iff any of its crash windows
+/// covers `now_ms`, and every other node the schedule names comes back
+/// online. Crash events naming nodes the plane does not have are ignored.
+/// Returns how many distinct nodes are down afterwards.
 ///
 /// This is the bridge to the fault-injection harness: availability
 /// experiments build one [`FaultPlan`], drive the simulator with it, and
@@ -41,19 +43,20 @@ pub fn apply_crash_schedule<P: StoragePlane + ?Sized>(
     plan: &FaultPlan,
     now_ms: u64,
 ) -> usize {
-    let known = plane.node_ids();
-    let mut down = 0;
+    let mut known = plane.node_ids();
+    known.sort_unstable();
+    let mut crashed: BTreeMap<NodeId, bool> = BTreeMap::new();
     for crash in &plan.crashes {
-        if !known.contains(&crash.node) {
+        if known.binary_search(&crash.node).is_err() {
             continue;
         }
-        let crashed = crash.at_ms <= now_ms && crash.recover_at_ms.is_none_or(|r| r > now_ms);
-        plane.set_online(crash.node, !crashed);
-        if crashed {
-            down += 1;
-        }
+        let covers = crash.at_ms <= now_ms && crash.recover_at_ms.is_none_or(|r| r > now_ms);
+        *crashed.entry(crash.node).or_default() |= covers;
     }
-    down
+    for (&node, &down) in &crashed {
+        plane.set_online(node, !down);
+    }
+    crashed.values().filter(|&&down| down).count()
 }
 
 /// R-way replicated, quorum-read storage over a [`StoragePlane`].
@@ -289,7 +292,7 @@ impl<P: StoragePlane> ReplicatedStore<P> {
     /// Fetches the raw per-candidate copies of `key` without verifying or
     /// repairing: the fetch half of a quorum read, split out so a batch
     /// engine can collect copies for many keys under `&mut self`, then run
-    /// the expensive verification ([`quorum_vote`]) on worker threads, and
+    /// the expensive verification ([`quorum_inspect`]) on worker threads, and
     /// finally apply repairs ([`ReplicatedStore::repair_copies`]) back under
     /// `&mut self`.
     ///
@@ -366,12 +369,7 @@ impl<P: StoragePlane> ReplicatedStore<P> {
         metrics: &mut Metrics,
         verify: impl Fn(&[u8]) -> bool,
     ) -> Result<Vec<u8>, StorageError> {
-        let quorum_timer = self.obs.timer(names::STORE_GET_QUORUM);
-        let fetched = self.fetch_copies(key, metrics)?;
-        let winner = quorum_vote(&fetched, self.read_quorum, verify)?;
-        quorum_timer.observe();
-        self.repair_copies(&fetched, &winner, metrics);
-        Ok(winner)
+        self.read_outcome(key, metrics, verify)?.into_result()
     }
 
     /// [`ReplicatedStore::get_verified`] with the vote's full anatomy
@@ -393,7 +391,9 @@ impl<P: StoragePlane> ReplicatedStore<P> {
     ) -> Result<QuorumOutcome, StorageError> {
         let quorum_timer = self.obs.timer(names::STORE_GET_QUORUM);
         let fetched = self.fetch_copies(key, metrics)?;
-        let outcome = quorum_inspect(&fetched, self.read_quorum, verify);
+        let outcome = quorum_inspect(&fetched, self.read_quorum, |copies| {
+            copies.iter().map(|c| verify(c)).collect()
+        });
         quorum_timer.observe();
         if let (true, Some(winner)) = (outcome.served(), outcome.winner.as_ref()) {
             self.repair_copies(&fetched, winner, metrics);
@@ -415,9 +415,9 @@ pub struct FetchedCopies {
 
 /// The typed anatomy of one quorum vote: how many copies were missing,
 /// failed verification, agreed with the winner, or disagreed with it —
-/// everything [`quorum_vote`] collapses into a `Result`. Adversarial
-/// scenarios need the distinction the `Result` erases: a read that **fails
-/// closed** on tampering ([`QuorumOutcome::fail_closed`] — verifying copies
+/// everything [`QuorumOutcome::into_result`] collapses into a `Result`.
+/// Adversarial scenarios need the distinction the `Result` erases: a read
+/// that **fails closed** on tampering ([`QuorumOutcome::fail_closed`] — verifying copies
 /// exist but the winner lacks agreement, or every copy is corrupt) is a
 /// defense working; a read that fails because nothing is there is plain
 /// unavailability.
@@ -443,9 +443,17 @@ pub struct QuorumOutcome {
 }
 
 impl QuorumOutcome {
-    /// Applies the PR 7 agreement rule — **the winning value's agreement
-    /// count must reach the quorum** — turning the anatomy back into the
-    /// exact `Result` [`quorum_vote`] returns.
+    /// Applies the agreement rule — **the winning value's agreement count
+    /// must reach the quorum** — turning the anatomy into the verdict of a
+    /// quorum read.
+    ///
+    /// The rule counts the *winning value's* agreeing copies, not all
+    /// verifying copies: `need = K` means "at least K replicas hold
+    /// byte-identical verifying copies of the value we return". Summing
+    /// verifying copies of *different* values would let three
+    /// disagreeing-but-signed copies satisfy K=2 and return a value only
+    /// one replica agreed on — exactly the stale read the quorum exists to
+    /// prevent.
     ///
     /// # Errors
     ///
@@ -482,76 +490,21 @@ impl QuorumOutcome {
 
 /// Majority vote among verifying copies: the pure (no storage access)
 /// middle of a quorum read, split out so worker threads can run the
-/// expensive `verify` closure concurrently over many [`FetchedCopies`].
-/// Ties break toward the copy held by the most-preferred candidate (the
-/// earliest-seen value wins at equal counts).
+/// expensive verification concurrently over many [`FetchedCopies`].
 ///
-/// The quorum requirement applies to the **winning value's** agreement
-/// count, not to the total number of verifying copies: `read_quorum = K`
-/// means "at least K replicas hold byte-identical verifying copies of the
-/// value we return". (An earlier revision summed verifying copies of
-/// *different* values toward the quorum, so three disagreeing-but-signed
-/// copies satisfied K=2 and the read returned a value only one replica
-/// agreed on — exactly the stale-read the quorum exists to prevent.)
-///
-/// # Errors
-///
-/// [`StorageError::NotFound`] when no candidate holds a verifying copy;
-/// [`StorageError::QuorumFailed`] when some do but the winner has fewer
-/// than `read_quorum` agreeing copies (`have` reports the winner's count).
-pub fn quorum_vote(
-    fetched: &FetchedCopies,
-    read_quorum: usize,
-    verify: impl Fn(&[u8]) -> bool,
-) -> Result<Vec<u8>, StorageError> {
-    quorum_vote_batch(fetched, read_quorum, |copies| {
-        copies.iter().map(|c| verify(c)).collect()
-    })
-}
-
-/// [`quorum_vote`] with the verifier invoked **once over all copies**
-/// instead of per copy: `verify_batch` receives every present copy in
-/// candidate-preference order and returns one verdict per copy. This is the
-/// seam for batch signature verification — a quorum read hands the
-/// verifier R byte-identical envelopes, and a batched verifier amortizes
-/// them into a single combined check.
+/// `verify_batch` is invoked **once over all copies**: it receives every
+/// present copy in candidate-preference order and returns one verdict per
+/// copy. This is the seam for batch signature verification — a quorum read
+/// hands the verifier R byte-identical envelopes, and a batched verifier
+/// amortizes them into a single combined check. Ties break toward the copy
+/// held by the most-preferred candidate (the earliest-seen value wins at
+/// equal counts). [`QuorumOutcome::into_result`] turns the anatomy into the
+/// read's verdict.
 ///
 /// # Panics
 ///
 /// Panics if `verify_batch` returns a verdict vector of the wrong length.
-///
-/// # Errors
-///
-/// As [`quorum_vote`].
-pub fn quorum_vote_batch(
-    fetched: &FetchedCopies,
-    read_quorum: usize,
-    verify_batch: impl FnOnce(&[&[u8]]) -> Vec<bool>,
-) -> Result<Vec<u8>, StorageError> {
-    quorum_inspect_batch(fetched, read_quorum, verify_batch).into_result()
-}
-
-/// [`quorum_vote`] with the full anatomy exposed: runs the same tally and
-/// returns a [`QuorumOutcome`] instead of collapsing to a `Result`.
-/// [`QuorumOutcome::into_result`] recovers the exact [`quorum_vote`]
-/// verdict, so the two can never drift.
 pub fn quorum_inspect(
-    fetched: &FetchedCopies,
-    read_quorum: usize,
-    verify: impl Fn(&[u8]) -> bool,
-) -> QuorumOutcome {
-    quorum_inspect_batch(fetched, read_quorum, |copies| {
-        copies.iter().map(|c| verify(c)).collect()
-    })
-}
-
-/// [`quorum_inspect`] with the verifier invoked once over all copies (the
-/// batch-verification seam, as [`quorum_vote_batch`]).
-///
-/// # Panics
-///
-/// Panics if `verify_batch` returns a verdict vector of the wrong length.
-pub fn quorum_inspect_batch(
     fetched: &FetchedCopies,
     read_quorum: usize,
     verify_batch: impl FnOnce(&[&[u8]]) -> Vec<bool>,
@@ -615,6 +568,29 @@ mod tests {
             .into_iter()
             .map(|p| ReplicatedStore::new(p, r))
             .collect()
+    }
+
+    #[test]
+    fn crash_schedule_downs_a_node_iff_any_window_covers_now() {
+        let mut plane = ChordPlane::build(16, 3);
+        let a = plane.node_ids()[0];
+        // Two windows for one node: `now` inside the first, before the
+        // second. The later window must not bring the node back up.
+        let plan = FaultPlan::seeded(1)
+            .with_crash_recovery(a, 0, 100)
+            .with_crash(a, 200);
+        assert_eq!(apply_crash_schedule(&mut plane, &plan, 50), 1);
+        assert!(!plane.is_online(a), "inside its first crash window");
+        assert_eq!(apply_crash_schedule(&mut plane, &plan, 150), 0);
+        assert!(plane.is_online(a), "between the two windows");
+        assert_eq!(apply_crash_schedule(&mut plane, &plan, 250), 1);
+        assert!(!plane.is_online(a), "inside its second crash window");
+        // One node named twice is one node down.
+        let twice = FaultPlan::seeded(1).with_crash(a, 0).with_crash(a, 0);
+        assert_eq!(apply_crash_schedule(&mut plane, &twice, 1), 1);
+        // Nodes the plane does not have are ignored.
+        let ghost = FaultPlan::seeded(1).with_crash(NodeId(u64::MAX), 0);
+        assert_eq!(apply_crash_schedule(&mut plane, &ghost, 1), 0);
     }
 
     #[test]
@@ -903,7 +879,9 @@ mod tests {
 
         let mut ms = Metrics::new();
         let fetched = split.fetch_copies(key, &mut ms).unwrap();
-        let winner = quorum_vote(&fetched, split.read_quorum(), |b| b != b"BAD!").unwrap();
+        let winner = quorum_inspect(&fetched, split.read_quorum(), each(|b| b != b"BAD!"))
+            .into_result()
+            .unwrap();
         let repairs = split.repair_copies(&fetched, &winner, &mut ms);
         assert_eq!(winner, via_whole);
         assert_eq!(repairs, 1);
@@ -916,6 +894,12 @@ mod tests {
                 .unwrap(),
             Some(b"good".to_vec())
         );
+    }
+
+    /// Per-copy verdicts from a per-copy predicate, in the batch-verifier
+    /// shape [`quorum_inspect`] takes.
+    fn each(verify: impl Fn(&[u8]) -> bool) -> impl FnOnce(&[&[u8]]) -> Vec<bool> {
+        move |copies| copies.iter().map(|c| verify(c)).collect()
     }
 
     #[test]
@@ -931,10 +915,15 @@ mod tests {
             ],
         };
         // Tie at one vote each: preference order (earliest seen) wins.
-        assert_eq!(quorum_vote(&fetched, 1, |_| true).unwrap(), b"v");
+        assert_eq!(
+            quorum_inspect(&fetched, 1, each(|_| true))
+                .into_result()
+                .unwrap(),
+            b"v"
+        );
         // Below quorum: `have` reports the winner's agreement count (one
         // copy of "v"), not the total number of verifying copies (two).
-        match quorum_vote(&fetched, 3, |_| true) {
+        match quorum_inspect(&fetched, 3, each(|_| true)).into_result() {
             Err(StorageError::QuorumFailed { have, need, .. }) => {
                 assert_eq!((have, need), (1, 3));
             }
@@ -942,7 +931,7 @@ mod tests {
         }
         // No verifying copies at all reads as missing.
         assert!(matches!(
-            quorum_vote(&fetched, 1, |_| false),
+            quorum_inspect(&fetched, 1, each(|_| false)).into_result(),
             Err(StorageError::NotFound(_))
         ));
     }
@@ -965,7 +954,7 @@ mod tests {
                 (nodes[2], Some(b"stale-seq-1".to_vec())),
             ],
         };
-        match quorum_vote(&fetched, 2, |_| true) {
+        match quorum_inspect(&fetched, 2, each(|_| true)).into_result() {
             Err(StorageError::QuorumFailed { have, need, .. }) => {
                 assert_eq!((have, need), (1, 2), "winner has one agreeing copy");
             }
@@ -981,11 +970,16 @@ mod tests {
                 (nodes[2], Some(b"fresh-seq-3".to_vec())),
             ],
         };
-        assert_eq!(quorum_vote(&healthy, 2, |_| true).unwrap(), b"fresh-seq-3");
+        assert_eq!(
+            quorum_inspect(&healthy, 2, each(|_| true))
+                .into_result()
+                .unwrap(),
+            b"fresh-seq-3"
+        );
     }
 
     #[test]
-    fn quorum_vote_batch_sees_all_copies_once_and_matches_per_copy() {
+    fn quorum_inspect_sees_all_copies_once_and_matches_per_copy() {
         let key = Key::hash(b"batched-vote");
         let nodes: Vec<NodeId> = (0..4).map(NodeId).collect();
         let fetched = FetchedCopies {
@@ -998,18 +992,21 @@ mod tests {
             ],
         };
         let mut calls = 0usize;
-        let winner = quorum_vote_batch(&fetched, 2, |copies| {
+        let winner = quorum_inspect(&fetched, 2, |copies| {
             calls += 1;
             // Absent copies never reach the verifier; present ones arrive
             // in candidate-preference order.
             assert_eq!(copies, &[&b"good"[..], &b"BAD!"[..], &b"good"[..]]);
             copies.iter().map(|c| *c != b"BAD!").collect()
         })
+        .into_result()
         .unwrap();
         assert_eq!(winner, b"good");
         assert_eq!(calls, 1, "one verifier invocation for the whole read");
         assert_eq!(
-            quorum_vote(&fetched, 2, |c| c != b"BAD!").unwrap(),
+            quorum_inspect(&fetched, 2, each(|c| c != b"BAD!"))
+                .into_result()
+                .unwrap(),
             winner,
             "per-copy and batched paths agree"
         );
@@ -1022,11 +1019,16 @@ mod tests {
         let stored = Key::hash(b"present");
         store.put(stored, b"v".to_vec(), &mut m).unwrap();
         let hit = store.fetch_copies(stored, &mut m).unwrap();
-        assert_eq!(quorum_vote(&hit, 1, |_| true).unwrap(), b"v");
+        assert_eq!(
+            quorum_inspect(&hit, 1, each(|_| true))
+                .into_result()
+                .unwrap(),
+            b"v"
+        );
         // An unknown key still yields candidates; the vote reports it missing.
         let miss = store.fetch_copies(Key::hash(b"absent"), &mut m).unwrap();
         assert!(matches!(
-            quorum_vote(&miss, 1, |_| true),
+            quorum_inspect(&miss, 1, each(|_| true)).into_result(),
             Err(StorageError::NotFound(_))
         ));
     }
@@ -1052,12 +1054,11 @@ mod tests {
         }
     }
 
-    /// PR 7 regression, reasserted against the typed outcome: the quorum
-    /// applies to the **winner's** agreement count, and
-    /// `QuorumOutcome::into_result` reproduces `quorum_vote` bit-for-bit
-    /// on every anatomy the vote can encounter.
+    /// The anatomy partitions the candidates on every shape the vote can
+    /// encounter, and the quorum applies to the **winner's** agreement
+    /// count.
     #[test]
-    fn quorum_inspect_counts_and_matches_vote() {
+    fn quorum_inspect_counts_partition_the_candidates() {
         let cases: Vec<Vec<Option<&[u8]>>> = vec![
             vec![Some(b"good"), Some(b"good"), Some(b"good")],
             vec![Some(b"good"), Some(b"good"), Some(b"BAD!")],
@@ -1073,12 +1074,22 @@ mod tests {
         for case in cases {
             let fetched = copies(&case);
             for k in 1..=3 {
-                let outcome = quorum_inspect(&fetched, k, verify);
-                assert_eq!(
-                    outcome.clone().into_result(),
-                    quorum_vote(&fetched, k, verify),
-                    "outcome and vote diverged on {case:?} at K={k}"
-                );
+                let outcome = quorum_inspect(&fetched, k, each(verify));
+                match outcome.clone().into_result() {
+                    Ok(winner) => {
+                        assert!(outcome.served() && outcome.agreeing >= k);
+                        assert_eq!(Some(winner), outcome.winner);
+                    }
+                    Err(StorageError::QuorumFailed { have, need, .. }) => {
+                        assert!(!outcome.served());
+                        assert_eq!((have, need), (outcome.agreeing, k), "{case:?} at K={k}");
+                        assert!(have > 0 && have < need);
+                    }
+                    Err(StorageError::NotFound(_)) => {
+                        assert!(outcome.winner.is_none() && outcome.agreeing == 0);
+                    }
+                    Err(other) => panic!("unexpected verdict {other:?} on {case:?}"),
+                }
                 assert_eq!(outcome.candidates, case.len());
                 assert_eq!(outcome.missing, case.iter().filter(|c| c.is_none()).count());
                 assert_eq!(
@@ -1103,19 +1114,19 @@ mod tests {
         let tampered = quorum_inspect(
             &copies(&[Some(b"BAD!"), Some(b"BAD!"), Some(b"BAD!")]),
             2,
-            verify,
+            each(verify),
         );
         assert!(tampered.fail_closed());
         assert!(!tampered.served());
         // Nothing stored anywhere: plain unavailability, not a defense.
-        let absent = quorum_inspect(&copies(&[None, None, None]), 2, verify);
+        let absent = quorum_inspect(&copies(&[None, None, None]), 2, each(verify));
         assert!(!absent.fail_closed());
         assert!(!absent.served());
         // Healthy majority: served, neither failure kind.
         let healthy = quorum_inspect(
             &copies(&[Some(b"good"), Some(b"good"), Some(b"BAD!")]),
             2,
-            verify,
+            each(verify),
         );
         assert!(healthy.served());
         assert!(!healthy.fail_closed());

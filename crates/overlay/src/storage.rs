@@ -10,7 +10,7 @@
 //! [`crate::superpeer::SuperPeerOverlay`],
 //! [`crate::federation::FederatedNetwork`]); [`StoragePlane`] unifies them
 //! so upper layers — notably [`crate::replication::ReplicatedStore`] and
-//! the `dosn-core` network facade — run unchanged over any of them.
+//! the `dosn-core` request engine — run unchanged over any of them.
 //!
 //! The trait decomposes storage into *placement* and *access*:
 //! [`StoragePlane::replica_candidates`] answers "which online nodes should

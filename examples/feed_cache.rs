@@ -6,15 +6,17 @@
 //!
 //! Run with: `cargo run --example feed_cache`
 
-use dosn::core::network::DosnNetwork;
+use dosn::core::engine::Engine;
+use dosn::core::network::{ChordPlane, ReplicatedStore};
 
 const SEED: u64 = 2016;
 
 fn main() {
-    let mut net = DosnNetwork::new(64, SEED);
+    let mut net = Engine::new(ReplicatedStore::new(ChordPlane::build(64, SEED), 3), SEED);
     // Feed cache (decrypted timeline slices, chain-head validated) plus
     // the hot envelope cache at the storage plane.
     net.enable_feed_cache(1024);
+    net.enable_hot_cache(1024);
 
     for u in ["alice", "bob", "carol", "dave"] {
         net.register(u).expect("register");
